@@ -6,18 +6,25 @@ fully-associative LRU approximation, the simulator honours real set
 indexing and per-set LRU replacement, which is what makes the
 model-vs-simulator comparison a genuine validation of the paper's
 fully-associative assumption (see the associativity ablation bench).
+
+LRU is kept with *stamps*: every touch writes a fresh, ever-growing
+stamp for the line, and the victim of a full set is its member with the
+smallest stamp — the line touched least recently.  State changes that
+are not touches (:meth:`set_state`, :meth:`downgrade`) keep the stamp,
+and :meth:`invalidate` removes the line.  The three maps are plain
+attributes so the simulator's inlined per-access loop can work on them
+directly; the methods below define what that loop must do.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.util import is_power_of_two
 
-#: MESI states (Invalid is represented by absence).
-M = "M"
-E = "E"
-S = "S"
+#: MESI states as small ints (Invalid is represented by absence), so
+#: ``state > S`` reads "M or E".
+S = 1
+E = 2
+M = 3
 
 
 class PrivateCache:
@@ -26,9 +33,20 @@ class PrivateCache:
     ``ways = 0`` selects a fully-associative cache (a single set).
     Lines are tracked by *line id* (byte address // line size); the
     caller is responsible for coherence actions on returned evictions.
+
+    Attributes
+    ----------
+    states:
+        ``line -> MESI state`` of every cached line.
+    stamps:
+        ``line -> stamp`` of its last touch (unique and increasing).
+    sets:
+        Per set index (``line & (num_sets - 1)``), the lines it holds.
+    clock:
+        The stamp the next touch receives.
     """
 
-    __slots__ = ("num_sets", "ways", "_sets")
+    __slots__ = ("num_sets", "ways", "states", "stamps", "sets", "clock")
 
     def __init__(self, num_lines: int, ways: int) -> None:
         if num_lines <= 0:
@@ -49,54 +67,54 @@ class PrivateCache:
                 raise ValueError(
                     f"set count must be a power of two, got {self.num_sets}"
                 )
-        self._sets: list[OrderedDict[int, str]] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        self.states: dict[int, int] = {}
+        self.stamps: dict[int, int] = {}
+        self.sets: list[set[int]] = [set() for _ in range(self.num_sets)]
+        self.clock = 0
 
-    def _set_of(self, line: int) -> OrderedDict[int, str]:
-        return self._sets[line & (self.num_sets - 1)]
-
-    def state(self, line: int) -> str | None:
+    def state(self, line: int) -> int | None:
         """The line's MESI state, or ``None`` (Invalid)."""
-        return self._set_of(line).get(line)
+        return self.states.get(line)
 
-    def touch(self, line: int, state: str) -> int | None:
+    def touch(self, line: int, state: int) -> int | None:
         """(Re-)insert ``line`` at MRU with ``state``; return any eviction."""
-        s = self._set_of(line)
-        s.pop(line, None)
-        s[line] = state
-        if len(s) > self.ways:
-            evicted, _ = s.popitem(last=False)
-            return evicted
+        self.states[line] = state
+        self.stamps[line] = self.clock
+        self.clock += 1
+        members = self.sets[line & (self.num_sets - 1)]
+        members.add(line)
+        if len(members) > self.ways:
+            victim = min(members, key=self.stamps.__getitem__)
+            self.invalidate(victim)
+            return victim
         return None
 
-    def set_state(self, line: int, state: str) -> None:
+    def set_state(self, line: int, state: int) -> None:
         """Change state without affecting LRU order; line must be present."""
-        s = self._set_of(line)
-        if line not in s:
+        if line not in self.states:
             raise KeyError(f"line {line} not cached")
-        s[line] = state
+        self.states[line] = state
 
     def invalidate(self, line: int) -> bool:
         """Drop a line (remote write); True when it was present."""
-        return self._set_of(line).pop(line, None) is not None
+        if self.states.pop(line, None) is None:
+            return False
+        del self.stamps[line]
+        self.sets[line & (self.num_sets - 1)].discard(line)
+        return True
 
     def downgrade(self, line: int) -> bool:
         """M/E → S on a remote read; True when the state changed."""
-        s = self._set_of(line)
-        st = s.get(line)
-        if st in (M, E):
-            s[line] = S
+        if self.states.get(line, S) > S:
+            self.states[line] = S
             return True
         return False
 
     def occupancy(self) -> int:
         """Total lines currently cached."""
-        return sum(len(s) for s in self._sets)
+        return len(self.states)
 
-    def lines(self) -> list[tuple[int, str]]:
-        """All (line, state) pairs (diagnostics/tests)."""
-        out: list[tuple[int, str]] = []
-        for s in self._sets:
-            out.extend(s.items())
-        return out
+    def lines(self) -> list[tuple[int, int]]:
+        """All (line, state) pairs, least recently touched first."""
+        order = sorted(self.stamps, key=self.stamps.__getitem__)
+        return [(line, self.states[line]) for line in order]
