@@ -15,6 +15,7 @@ Scales
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -24,17 +25,21 @@ import numpy as np
 from repro.analysis.report import ExperimentResult
 from repro.analysis.supplementary import SupplementaryMixin
 from repro.costmodels import TotalCostModel
+from repro.engine.keys import nest_digest, stable_hash
 from repro.kernels import KernelInstance, dft, heat_diffusion, linear_regression
 from repro.machine import MachineConfig, paper_machine
 from repro.model import (
     FalseSharingModel,
     FalseSharingPredictor,
+    FSModelResult,
+    FSPrediction,
     fs_overhead_percent,
     measured_fs_percent,
     ols_fit,
     predicted_fs_percent,
 )
-from repro.sim import MulticoreSimulator
+from repro.obs import get_registry
+from repro.sim import MulticoreSimulator, SimResult
 from repro.util import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -129,11 +134,102 @@ class ExperimentSuite(SupplementaryMixin):
         )
         self.sim = MulticoreSimulator(self.machine)
         self.total_model = TotalCostModel(self.machine)
+        # The cell table: every simulator, analyze and predict result the
+        # drivers read, computed once per suite.  Machine and detector
+        # knobs are fixed per suite, so they stay out of the key.
+        self._cells: dict[tuple, object] = {}
+        self._cell_locks: dict[tuple, threading.Lock] = {}
+        self._cells_lock = threading.Lock()
         # Refreshed by run_all(): provenance of the last suite run
         # (computed vs served-from-cache per driver).
         from repro.engine.incremental import ReuseReport
 
         self.last_reuse = ReuseReport()
+
+    # -- the cell table -----------------------------------------------------------
+
+    def _cell(self, key: tuple, compute: Callable[[], object]):
+        """The result of cell ``key``, computing it on first use only.
+
+        Drivers only read cell results, so handing every driver the same
+        object is exact.  Concurrent callers of one key (inline shards
+        run drivers on threads) wait for the first instead of
+        recomputing.
+        """
+        with self._cells_lock:
+            lock = self._cell_locks.setdefault(key, threading.Lock())
+        with lock:
+            reused = key in self._cells
+            if not reused:
+                self._cells[key] = compute()
+        get_registry().counter(
+            "analysis_cells_total", "experiment cells, computed or reused"
+        ).labels(kind=key[0], outcome="reused" if reused else "computed").inc()
+        return self._cells[key]
+
+    def simulate(self, nest, threads: int, chunk: int) -> SimResult:
+        """Simulator cell: :meth:`MulticoreSimulator.run` of one config."""
+        return self._cell(
+            ("sim", nest_digest(nest), threads, chunk),
+            lambda: self.sim.run(nest, threads, chunk=chunk),
+        )
+
+    def analyze(self, nest, threads: int, chunk: int) -> FSModelResult:
+        """Model cell: the full Section III analysis of one config."""
+        return self._cell(
+            ("analyze", nest_digest(nest), threads, chunk),
+            lambda: self.model.analyze(nest, threads, chunk=chunk),
+        )
+
+    def predict(
+        self, nest, threads: int, chunk: int, n_runs: int
+    ) -> FSPrediction:
+        """Predictor cell: the LR prediction from ``n_runs`` chunk runs."""
+        return self._cell(
+            ("predict", nest_digest(nest), threads, chunk, n_runs),
+            lambda: FalseSharingPredictor(self.model, n_runs=n_runs).predict(
+                nest, threads, chunk=chunk
+            ),
+        )
+
+    # -- per-row folds over cells (Eq. 5 and the LR prediction) -------------------
+
+    def _measured(
+        self, k: KernelInstance, T: int
+    ) -> tuple[SimResult, SimResult, float]:
+        """Simulated FS and non-FS runs and the measured FS %."""
+        s_fs = self.simulate(k.nest, T, k.fs_chunk)
+        s_nfs = self.simulate(k.nest, T, k.nfs_chunk)
+        return s_fs, s_nfs, measured_fs_percent(s_fs.cycles, s_nfs.cycles)
+
+    def _modeled(
+        self, k: KernelInstance, T: int
+    ) -> tuple[FSModelResult, FSModelResult, float]:
+        """Modeled FS and non-FS analyses and the modeled FS %."""
+        r_fs = self.analyze(k.nest, T, k.fs_chunk)
+        r_nfs = self.analyze(k.nest, T, k.nfs_chunk)
+        pct = fs_overhead_percent(
+            r_fs, r_nfs, self.machine, k.reference_nest, self.total_model
+        ).percent
+        return r_fs, r_nfs, pct
+
+    def _predicted(
+        self, k: KernelInstance, T: int
+    ) -> tuple[FSPrediction, FSPrediction, float]:
+        """LR predictions for the FS and non-FS chunks and the predicted FS %."""
+        p_fs = self.predict(k.nest, T, k.fs_chunk, k.pred_chunk_runs)
+        p_nfs = self.predict(k.nest, T, k.nfs_chunk, k.pred_chunk_runs)
+        ref_cycles = self.total_model.breakdown(
+            k.reference_nest, num_threads=T, fs_cases=0.0
+        ).total
+        pct = predicted_fs_percent(
+            p_fs.predicted_fs_cases,
+            p_nfs.predicted_fs_cases,
+            p_fs.prefix_result,
+            self.machine,
+            ref_cycles,
+        )
+        return p_fs, p_nfs, pct
 
     # -- Tables I-III: measured vs modeled FS overhead -------------------------
 
@@ -157,20 +253,14 @@ class ExperimentSuite(SupplementaryMixin):
         t0 = time.perf_counter()
         for T in self.scale.threads:
             k = factory(T)
-            s_fs = self.sim.run(k.nest, T, chunk=k.fs_chunk)
-            s_nfs = self.sim.run(k.nest, T, chunk=k.nfs_chunk)
-            measured = measured_fs_percent(s_fs.cycles, s_nfs.cycles)
-            r_fs = self.model.analyze(k.nest, T, chunk=k.fs_chunk)
-            r_nfs = self.model.analyze(k.nest, T, chunk=k.nfs_chunk)
-            report = fs_overhead_percent(
-                r_fs, r_nfs, self.machine, k.reference_nest, self.total_model
-            )
+            s_fs, s_nfs, measured = self._measured(k, T)
+            modeled = self._modeled(k, T)[2]
             result.add_row(
                 T,
                 s_fs.seconds * 1e3,
                 s_nfs.seconds * 1e3,
                 round(measured, 1),
-                round(report.percent, 1),
+                round(modeled, 1),
             )
         k0 = factory(self.scale.threads[0])
         result.notes.append(
@@ -227,32 +317,16 @@ class ExperimentSuite(SupplementaryMixin):
         t0 = time.perf_counter()
         for T in self.scale.threads:
             k = factory(T)
-            predictor = FalseSharingPredictor(self.model, n_runs=k.pred_chunk_runs)
-            p_fs = predictor.predict(k.nest, T, chunk=k.fs_chunk)
-            p_nfs = predictor.predict(k.nest, T, chunk=k.nfs_chunk)
-            r_fs = self.model.analyze(k.nest, T, chunk=k.fs_chunk)
-            r_nfs = self.model.analyze(k.nest, T, chunk=k.nfs_chunk)
-            ref_cycles = self.total_model.breakdown(
-                k.reference_nest, num_threads=T, fs_cases=0.0
-            ).total
-            pred_pct = predicted_fs_percent(
-                p_fs.predicted_fs_cases,
-                p_nfs.predicted_fs_cases,
-                p_fs.prefix_result,
-                self.machine,
-                ref_cycles,
-            )
-            model_pct = fs_overhead_percent(
-                r_fs, r_nfs, self.machine, k.reference_nest, self.total_model
-            ).percent
+            p_fs, p_nfs, predicted = self._predicted(k, T)
+            r_fs, r_nfs, modeled = self._modeled(k, T)
             result.add_row(
                 T,
                 int(p_fs.predicted_fs_cases),
                 int(p_nfs.predicted_fs_cases),
-                round(pred_pct, 1),
+                round(predicted, 1),
                 r_fs.fs_cases,
                 r_nfs.fs_cases,
-                round(model_pct, 1),
+                round(modeled, 1),
             )
         result.notes.append(
             f"prediction sampled {k0.pred_chunk_runs} chunk runs "
@@ -296,8 +370,7 @@ class ExperimentSuite(SupplementaryMixin):
         t0 = time.perf_counter()
         base_ms: float | None = None
         for chunk in self.scale.fig2_chunks:
-            s = self.sim.run(k.nest, T, chunk=chunk)
-            ms = s.seconds * 1e3
+            ms = self.simulate(k.nest, T, chunk).seconds * 1e3
             if base_ms is None:
                 base_ms = ms
             result.add_row(chunk, ms, round(100.0 * (base_ms - ms) / base_ms, 1))
@@ -352,27 +425,9 @@ class ExperimentSuite(SupplementaryMixin):
         t0 = time.perf_counter()
         for T in self.scale.threads:
             k = factory(T)
-            s_fs = self.sim.run(k.nest, T, chunk=k.fs_chunk)
-            s_nfs = self.sim.run(k.nest, T, chunk=k.nfs_chunk)
-            measured = measured_fs_percent(s_fs.cycles, s_nfs.cycles)
-            r_fs = self.model.analyze(k.nest, T, chunk=k.fs_chunk)
-            r_nfs = self.model.analyze(k.nest, T, chunk=k.nfs_chunk)
-            modeled = fs_overhead_percent(
-                r_fs, r_nfs, self.machine, k.reference_nest, self.total_model
-            ).percent
-            predictor = FalseSharingPredictor(self.model, n_runs=k.pred_chunk_runs)
-            p_fs = predictor.predict(k.nest, T, chunk=k.fs_chunk)
-            p_nfs = predictor.predict(k.nest, T, chunk=k.nfs_chunk)
-            ref_cycles = self.total_model.breakdown(
-                k.reference_nest, num_threads=T, fs_cases=0.0
-            ).total
-            predicted = predicted_fs_percent(
-                p_fs.predicted_fs_cases,
-                p_nfs.predicted_fs_cases,
-                p_fs.prefix_result,
-                self.machine,
-                ref_cycles,
-            )
+            measured = self._measured(k, T)[2]
+            modeled = self._modeled(k, T)[2]
+            predicted = self._predicted(k, T)[2]
             result.add_row(
                 T, round(measured, 1), round(modeled, 1), round(predicted, 1)
             )
@@ -404,8 +459,9 @@ class ExperimentSuite(SupplementaryMixin):
     def experiment_jobs(
         self, drivers: Sequence[str] | None = None
     ) -> "list[Job]":
-        """One engine job per driver, each reconstructing the suite in
-        its worker from (machine, scale)."""
+        """One engine job per driver; each worker process runs them on one
+        suite per (machine, scale, engine knobs) — see
+        :func:`run_experiment_job`."""
         from repro.engine import Job
 
         machine_key = self.machine.to_key_dict()
@@ -532,18 +588,41 @@ SUPPLEMENTARY_DRIVERS: tuple[str, ...] = (
 )
 
 
+#: Kinds of cell in a suite's cell table.
+CELL_KINDS: tuple[str, ...] = ("sim", "analyze", "predict")
+
+
+def cell_counts() -> dict[str, dict[str, int]]:
+    """This process's ``analysis_cells_total``: kind -> outcome -> count."""
+    counts = {kind: {"computed": 0, "reused": 0} for kind in CELL_KINDS}
+    for child in get_registry().counter("analysis_cells_total").children():
+        counts[child.labels["kind"]][child.labels["outcome"]] += int(child.value)
+    return counts
+
+
+#: The suite ``run_experiment_job`` reuses in this process, with its key.
+_job_suite: tuple[str, ExperimentSuite] | None = None
+_job_suite_lock = threading.Lock()
+
+
 def run_experiment_job(job) -> dict:
     """Engine runner for ``experiment.driver`` jobs (executes in a worker).
 
-    Rebuilds the suite from the payload machine and the spec's scale,
-    runs one driver, and returns the result's JSON form.
+    Runs one driver and returns the result's JSON form.  The process
+    keeps one suite per (machine, scale, engine knobs), so the drivers a
+    worker runs share its cell table; a job with other knobs replaces it.
     """
+    global _job_suite
     machine: MachineConfig = job.payload["machine"]
-    suite = ExperimentSuite(
-        machine=machine,
-        scale=str(job.spec["scale"]),
-        detector_engine=str(job.payload.get("detector_engine", "auto")),
-        steady_state=bool(job.payload.get("steady_state", True)),
-        sim_jobs=int(job.payload.get("sim_jobs", 1)),
-    )
+    knobs = {
+        "scale": str(job.spec["scale"]),
+        "detector_engine": str(job.payload.get("detector_engine", "auto")),
+        "steady_state": bool(job.payload.get("steady_state", True)),
+        "sim_jobs": int(job.payload.get("sim_jobs", 1)),
+    }
+    key = stable_hash({"machine": machine, **knobs})
+    with _job_suite_lock:
+        if _job_suite is None or _job_suite[0] != key:
+            _job_suite = (key, ExperimentSuite(machine=machine, **knobs))
+        suite = _job_suite[1]
     return suite.run_driver(str(job.spec["driver"])).to_dict()

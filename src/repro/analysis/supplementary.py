@@ -19,13 +19,17 @@ import time
 from repro.analysis.report import ExperimentResult
 from repro.baselines import RuntimeFSDetector
 from repro.kernels import transpose
-from repro.model import FalseSharingPredictor, diagnose
-from repro.sim import MulticoreSimulator
+from repro.model import diagnose
 from repro.transform import ChunkSizeOptimizer, PaddingAdvisor
 
 
 class SupplementaryMixin:
-    """Extra drivers mixed into :class:`~repro.analysis.experiments.ExperimentSuite`."""
+    """Extra drivers mixed into :class:`~repro.analysis.experiments.ExperimentSuite`.
+
+    They read simulator, analyze and predict results through the suite's
+    cell table (``simulate``/``analyze``/``predict``), like the paper's
+    drivers.
+    """
 
     def run_supp_victims(self) -> ExperimentResult:
         """Victim data structures per kernel (the paper's motivation)."""
@@ -43,7 +47,7 @@ class SupplementaryMixin:
             ("linreg", self.scale.linreg(T)),
             ("transpose (control)", transpose(rows=8, cols=512)),
         ):
-            r = self.model.analyze(k.nest, T, chunk=k.fs_chunk)
+            r = self.analyze(k.nest, T, k.fs_chunk)
             if r.fs_cases == 0:
                 # The negative control: no FS, no victim — by design.
                 res.add_row(name, "(none)", "0 cases", 0, "-")
@@ -76,10 +80,8 @@ class SupplementaryMixin:
             ("linreg", self.scale.linreg(T)),
         ):
             rt = runtime.run(k.nest, T, chunk=k.fs_chunk)
-            m = self.model.analyze(k.nest, T, chunk=k.fs_chunk)
-            pred = FalseSharingPredictor(
-                self.model, n_runs=k.pred_chunk_runs
-            ).predict(k.nest, T, chunk=k.fs_chunk)
+            m = self.analyze(k.nest, T, k.fs_chunk)
+            pred = self.predict(k.nest, T, k.fs_chunk, k.pred_chunk_runs)
             res.add_row(
                 name,
                 rt.stats.false_sharing_events,
@@ -94,7 +96,6 @@ class SupplementaryMixin:
     def run_supp_mitigation(self) -> ExperimentResult:
         """Model-guided fixes, validated on the simulator."""
         T = self.scale.fig2_threads
-        sim = MulticoreSimulator(self.machine)
         res = ExperimentResult(
             "Supp. mitigation",
             f"model-recommended fixes for linreg (T={T})",
@@ -103,12 +104,12 @@ class SupplementaryMixin:
         )
         t0 = time.perf_counter()
         k = self.scale.linreg(T)
-        before = sim.run(k.nest, T, chunk=1)
+        before = self.simulate(k.nest, T, 1)
 
         rec = ChunkSizeOptimizer(
             self.machine, use_predictor=True, predictor_runs=5
         ).recommend(k.nest, T, candidates=(1, 2, 4, 8, 10))
-        after_chunk = sim.run(k.nest, T, chunk=rec.best_chunk)
+        after_chunk = self.simulate(k.nest, T, rec.best_chunk)
         res.add_row(
             "schedule chunk", f"static,{rec.best_chunk}",
             before.seconds * 1e3, after_chunk.seconds * 1e3,
@@ -118,7 +119,7 @@ class SupplementaryMixin:
         advices = PaddingAdvisor(self.machine).advise(k.nest, T)
         if advices:
             adv = advices[0]
-            after_pad = sim.run(adv.nest_after, T, chunk=1)
+            after_pad = self.simulate(adv.nest_after, T, 1)
             res.add_row(
                 "struct padding",
                 f"{adv.element_bytes}->{adv.padded_bytes} B",

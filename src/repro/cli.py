@@ -91,6 +91,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-D", "--define", action="append", default=[],
                    metavar="NAME=VALUE",
                    help="predefine an integer macro (repeatable)")
+    add_obs_flags(p)
+    _add_model_flags(p)
+    _add_engine_flags(p)
+    _add_resilience_flags(p)
+
+
+def add_obs_flags(p: argparse.ArgumentParser) -> None:
+    """``--profile`` / ``--metrics-out``, read by :func:`obs_config`."""
     p.add_argument("--profile", metavar="TRACE.json", default=None,
                    help="record spans and write a Chrome trace-event "
                         "JSON (open in Perfetto / chrome://tracing)")
@@ -98,9 +106,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="write the metrics registry at exit; format by "
                         "extension: .json dump, .csv table, or .prom "
                         "Prometheus text exposition")
-    _add_model_flags(p)
-    _add_engine_flags(p)
-    _add_resilience_flags(p)
+
+
+def obs_config(args: argparse.Namespace):
+    """The run's :class:`~repro.obs.ObsConfig`: the ``REPRO_TRACE`` /
+    ``REPRO_METRICS`` environment overlaid with the obs flags."""
+    from repro.obs import ObsConfig
+
+    return ObsConfig.from_env().with_cli(
+        trace_path=getattr(args, "profile", None),
+        metrics_path=getattr(args, "metrics_out", None),
+    )
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -568,6 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiments", help="regenerate the paper's experiments")
     p.add_argument("--scale", choices=("tiny", "full"), default="tiny")
+    add_obs_flags(p)
     _add_model_flags(p)
     _add_engine_flags(p)
     _add_resilience_flags(p)
@@ -701,16 +718,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.obs import ObsConfig, session
+    from repro.obs import session
 
     args = build_parser().parse_args(argv)
     if getattr(args, "_force_profile", False):
         args.profile = args.profile or "trace.json"
         args.metrics_out = args.metrics_out or "metrics.json"
-    config = ObsConfig.from_env().with_cli(
-        trace_path=getattr(args, "profile", None),
-        metrics_path=getattr(args, "metrics_out", None),
-    )
+    config = obs_config(args)
     try:
         with session(config, reset_metrics=config.any_enabled):
             return args.func(args)
