@@ -13,7 +13,11 @@ MESI loop and compares each result with ``sim_golden.json``:
 - a cross-socket factor of 1.7 with 2 cores per socket, under both
   thread placements;
 - 64-step trace blocks, so prefetcher, TLB and MRU state cross block
-  boundaries.
+  boundaries;
+- small heat, dft and linreg sizes whose chunk runs repeat shifted
+  through memory without evicting (the simulator's steady-state exit
+  fires on them), at T in {2, 4, 8}, prefetcher on and off, 64-step
+  blocks, and one ``max_steps`` cut inside a skippable span.
 
 All 15 counters, ``steps``, ``cycles`` (via ``float.hex``) and
 ``per_thread_cycles`` must match exactly.  Regenerate the fixture only
@@ -45,6 +49,11 @@ KERNELS = {
     "dft": lambda: build_dft_nest(3, 200),
     "linreg": lambda: build_linreg_nest(50, 6),
     "transpose": lambda: build_transpose_nest(6, 300),
+    # Full chunk runs at T in {2, 4, 8} and chunks 1 and 4, several
+    # executions (heat, dft) and a footprint no cache set overflows.
+    "heat-steady": lambda: build_heat_nest(6, 258),
+    "dft-steady": lambda: build_dft_nest(4, 256),
+    "linreg-steady": lambda: build_linreg_nest(192, 8),
 }
 
 
@@ -81,37 +90,58 @@ VARIANTS = {
 }
 
 
-def _cases() -> list[tuple[str, str, dict, str, int, int]]:
-    """(case id, machine, options, kernel, threads, chunk) for the grid."""
+#: Simulator options of the steady-state cases.
+STEADY_VARIANTS = {
+    "paper": {},
+    "nopf": {"prefetcher": False},
+    "blk64": {"block_steps": 64},
+}
+
+
+def _cases() -> list[tuple[str, str, dict, str, int, int, int | None]]:
+    """(case id, machine, options, kernel, threads, chunk, max_steps)
+    for the grid."""
     cases = []
-    for kernel in KERNELS:
+    for kernel in ("heat", "dft", "linreg", "transpose"):
         for threads in (1, 2, 3, 4, 8):
             for chunk in (1, 5):
                 cases.append((
                     f"{kernel}-paper-T{threads}-c{chunk}",
-                    "paper", {}, kernel, threads, chunk,
+                    "paper", {}, kernel, threads, chunk, None,
                 ))
         for name, (machine, opts) in VARIANTS.items():
             for threads in (2, 3, 4):
                 for chunk in (1, 5):
                     cases.append((
                         f"{kernel}-{name}-T{threads}-c{chunk}",
-                        machine, opts, kernel, threads, chunk,
+                        machine, opts, kernel, threads, chunk, None,
                     ))
         for placement in ("contiguous", "scatter"):
             cases.append((
                 f"{kernel}-numa-{placement}-T8-c3",
-                "numa", {"thread_placement": placement}, kernel, 8, 3,
+                "numa", {"thread_placement": placement}, kernel, 8, 3, None,
             ))
+    for kernel in ("heat-steady", "dft-steady", "linreg-steady"):
+        for name, opts in STEADY_VARIANTS.items():
+            for threads in (2, 4, 8):
+                for chunk in (1, 4):
+                    cases.append((
+                        f"{kernel}-{name}-T{threads}-c{chunk}",
+                        "paper", opts, kernel, threads, chunk, None,
+                    ))
+    # Step 83 falls mid-way through the third execution's 32 runs.
+    cases.append((
+        "heat-steady-paper-T8-c1-cut83", "paper", {}, "heat-steady", 8, 1, 83,
+    ))
     return cases
 
 
 CASES = _cases()
 
 
-def _observe(machine, opts, kernel, threads, chunk) -> dict:
+def _observe(machine, opts, kernel, threads, chunk, max_steps) -> dict:
     sim = MulticoreSimulator(_machines()[machine], **opts)
-    r = sim.run(KERNELS[kernel](), threads, chunk=chunk)
+    r = sim.run(KERNELS[kernel](), threads, chunk=chunk, max_steps=max_steps)
     return {
         "counters": dataclasses.asdict(r.counters),
         "steps": r.steps,
@@ -141,10 +171,14 @@ def test_fixture_reaches_capacity_and_coherence_paths(golden):
 
 
 @pytest.mark.parametrize(
-    "case_id,machine,opts,kernel,threads,chunk", CASES, ids=[c[0] for c in CASES]
+    "case_id,machine,opts,kernel,threads,chunk,max_steps", CASES,
+    ids=[c[0] for c in CASES],
 )
-def test_sim_matches_golden(golden, case_id, machine, opts, kernel, threads, chunk):
-    assert _observe(machine, opts, kernel, threads, chunk) == golden[case_id]
+def test_sim_matches_golden(
+    golden, case_id, machine, opts, kernel, threads, chunk, max_steps
+):
+    observed = _observe(machine, opts, kernel, threads, chunk, max_steps)
+    assert observed == golden[case_id]
 
 
 def _record() -> None:
