@@ -447,6 +447,11 @@ class MulticoreSimulator:
                                     else:
                                         mask = h & nbit
                                         new_state = S if mask else E
+                                        if mask & (mask - 1):
+                                            # Two or more other holders
+                                            # are all in S already: E
+                                            # and M are exclusive.
+                                            mask = 0
                                         if predicted:
                                             cost += load_prefetched
                                             n_prefetched += 1
