@@ -105,18 +105,26 @@ class OwnershipListGenerator:
         """``[n_steps, n_refs]`` line ids for one thread's env block."""
         return self.addresses_for_env(env, length) // self.line_size
 
+    def block(self, start: int, stop: int) -> OwnershipBlock:
+        """Ownership lists of lockstep steps ``[start, stop)``."""
+        with span("ownership.block", start_step=start) as sp:
+            lines = tuple(
+                self.lines_for_env(self.enum.env_block(t, start, stop))
+                for t in range(self.num_threads)
+            )
+            n = sum(mat.size for mat in lines)
+            sp.set(line_ids=n)
+        get_registry().counter(
+            "ownership_line_ids", "line ids generated by the ownership stage"
+        ).labels(kernel=self.nest.name).inc(n)
+        return OwnershipBlock(start_step=start, lines=lines)
+
     def blocks(self, max_steps: int | None = None) -> Iterator[OwnershipBlock]:
         """Yield ownership blocks in lockstep order."""
-        lines_counter = get_registry().counter(
-            "ownership_line_ids", "line ids generated by the ownership stage"
-        ).labels(kernel=self.nest.name)
-        for start, envs in self.enum.blocks(max_steps):
-            with span("ownership.block", start_step=start) as sp:
-                lines = tuple(self.lines_for_env(e) for e in envs)
-                n = sum(mat.size for mat in lines)
-                sp.set(line_ids=n)
-            lines_counter.inc(n)
-            yield OwnershipBlock(start_step=start, lines=lines)
+        enum = self.enum
+        limit = enum.max_steps if max_steps is None else min(max_steps, enum.max_steps)
+        for start in range(0, limit, enum.block_steps):
+            yield self.block(start, min(start + enum.block_steps, limit))
 
     # -- conveniences for tests/analysis --------------------------------------
 

@@ -360,16 +360,11 @@ class SteadyStateRunner:
     ) -> None:
         """Simulate ``n_runs`` chunk runs of the current execution."""
         gen = self.gen
-        enum = gen.enum
         detector = self.detector
         write_mask = gen.write_mask
         spr = gen.iteration_space.steps_per_chunk_run
-        num_threads = gen.num_threads
         thread_order = self.thread_order
         stats = detector.stats
-        lines_counter = get_registry().counter(
-            "ownership_line_ids", "line ids generated by the ownership stage"
-        ).labels(kernel=gen.nest.name)
         start = exec_base_step + run_start * spr
         stop = start + n_runs * spr
         stride = max(spr, (self.block_steps // spr) * spr)
@@ -379,16 +374,8 @@ class SteadyStateRunner:
                     f"steady-state analysis of {gen.nest.name}"
                 )
             s1 = min(s0 + stride, stop)
-            # Same span/counter contract as OwnershipListGenerator.blocks —
-            # the runner materializes its own (larger) blocks for batching.
-            with span("ownership.block", start_step=s0) as sp:
-                lines = tuple(
-                    gen.lines_for_env(enum.env_block(t, s0, s1))
-                    for t in range(num_threads)
-                )
-                n_ids = sum(mat.size for mat in lines)
-                sp.set(line_ids=n_ids)
-            lines_counter.inc(n_ids)
+            # The runner materializes its own (larger) blocks for batching.
+            lines = gen.block(s0, s1).lines
             if series is None:
                 detector.process_block(
                     lines, write_mask, thread_order=thread_order

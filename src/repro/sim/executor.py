@@ -23,7 +23,6 @@ threads synchronize only at worksharing boundaries, as in OpenMP.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +33,11 @@ from repro.ir.loops import ParallelLoopNest
 from repro.ir.refs import AddressSpace
 from repro.ir.validate import validate_nest
 from repro.machine import MachineConfig
-from repro.machine.topology import pair_penalty_factory
 from repro.model.ownership import OwnershipListGenerator
 from repro.obs import get_registry, span
-from repro.sim.cache import E, M, PrivateCache, S
+from repro.sim import steady
 from repro.sim.timing import AccessCosts
+from repro.sim.walk import EVENTS, Walk
 from repro.util import get_logger
 
 logger = get_logger(__name__)
@@ -159,11 +158,13 @@ class MulticoreSimulator:
         validate_nest(nest)
 
         with span("sim.run", kernel=nest.name, threads=num_threads) as sp:
-            result = self._run(nest, num_threads, space, max_steps)
+            result, walked, extrapolated = self._run(nest, num_threads, space, max_steps)
             sp.set(
                 chunk=result.chunk,
                 accesses=result.counters.accesses,
                 coherence_events=result.counters.coherence_events,
+                runs_walked=walked,
+                runs_extrapolated=extrapolated,
             )
         return result
 
@@ -173,7 +174,8 @@ class MulticoreSimulator:
         num_threads: int,
         space: AddressSpace | None,
         max_steps: int | None,
-    ) -> SimResult:
+    ) -> tuple[SimResult, int, int]:
+        """The result, and the chunk runs walked and extrapolated."""
         t0 = time.perf_counter()
         gen = OwnershipListGenerator(
             nest,
@@ -184,9 +186,11 @@ class MulticoreSimulator:
         )
         compute = self._processor.cycles_per_iter(nest)
         loop_oh = self._parallel.loop_overhead_per_iter(nest)
-        counters, cycles, total_steps = self._simulate(
+        counters, cycles, total_steps, extrapolated = self._simulate(
             gen, num_threads, compute + loop_oh, max_steps
         )
+        spr = max(gen.iteration_space.steps_per_chunk_run, 1)
+        walked = -(-total_steps // spr) - extrapolated
 
         par_oh = self.machine.overheads
         trips = nest.trip_counts()
@@ -219,6 +223,12 @@ class MulticoreSimulator:
         registry.histogram(
             "sim_run_seconds", "wall time of MulticoreSimulator.run"
         ).labels(kernel=nest.name).observe(elapsed)
+        runs = registry.counter(
+            "sim_chunk_runs_total",
+            "chunk runs the simulator walked or accounted by steady-state extrapolation",
+        )
+        runs.labels(outcome="walked").inc(walked)
+        runs.labels(outcome="extrapolated").inc(extrapolated)
         result = SimResult(
             nest_name=nest.name,
             num_threads=num_threads,
@@ -236,7 +246,7 @@ class MulticoreSimulator:
             nest.name, num_threads, result.chunk, wall,
             counters.coherence_events, elapsed,
         )
-        return result
+        return result, walked, extrapolated
 
     def _simulate(
         self,
@@ -244,326 +254,43 @@ class MulticoreSimulator:
         num_threads: int,
         per_step_cycles: float,
         max_steps: int | None,
-    ) -> tuple[SimCounters, list[float], int]:
-        """The lockstep MESI loop: ``(counters, per-thread cycles, steps)``.
+    ) -> tuple[SimCounters, list[float], int, int]:
+        """Walk the trace: ``(counters, per-thread cycles, steps, chunk
+        runs extrapolated)``.
 
-        One flat loop over (step, thread, reference) with every MESI
-        transition inlined.  Each thread's private cache is the three
-        maps of a :class:`PrivateCache`, worked on directly; its TLB is
-        an LRU ``OrderedDict`` of pages; the directory is two bitmask
-        maps, ``holders`` (threads caching the line) and ``writers``
-        (threads that may hold it dirty).  All run state is local, so
-        one simulator can serve concurrent runs.
+        A run that qualifies for the exact steady-state exit
+        (:mod:`repro.sim.steady`) skips verified repeats of a chunk run;
+        every other run walks all of its blocks.  All run state lives in
+        one :class:`~repro.sim.walk.Walk`, so one simulator can serve
+        concurrent runs.
         """
-        machine = self.machine
-        c = self.costs
-        penalty = pair_penalty_factory(
-            num_threads,
-            machine.cores_per_socket,
-            self.thread_placement,
-            machine.coherence.cross_socket_factor,
+        walk = Walk(
+            self.machine, self.costs, gen, per_step_cycles,
+            self.fully_associative, self.prefetcher, self.thread_placement,
         )
-        # Coherence-miss cost by (requester, dirty owner): a socket hop
-        # scales it by the cross-socket factor.
-        load_rm = [
-            [int(c.load_remote_modified * penalty(t, o)) for o in range(num_threads)]
-            for t in range(num_threads)
-        ]
-        store_rm = [
-            [
-                int(c.store_miss_remote_modified * penalty(t, o))
-                for o in range(num_threads)
-            ]
-            for t in range(num_threads)
-        ]
-        load_hit, store_hit = c.load_hit, c.store_hit
-        load_prefetched, load_shared_fill = c.load_prefetched, c.load_shared_fill
-        load_cold, store_upgrade = c.load_cold, c.store_upgrade
-        store_miss_clean = c.store_miss_clean
+        enum = gen.enum
+        limit = enum.max_steps if max_steps is None else min(max_steps, enum.max_steps)
+        plan = steady.plan(gen, walk, limit, self.block_steps)
+        if plan is None:
+            for block in gen.blocks(max_steps):
+                walk.advance(block.lines, block.start_step)
+            extrapolated = 0
+        else:
+            plan.run()
+            extrapolated = plan.runs_extrapolated
 
-        l2 = machine.l2
-        caches = [
-            PrivateCache(l2.num_lines, 0 if self.fully_associative else l2.associativity)
-            for _ in range(num_threads)
-        ]
-        ways = caches[0].ways
-        set_mask = caches[0].num_sets - 1
-        states = [cache.states for cache in caches]
-        tlb_entries = machine.tlb_entries
-        tlb_miss_cycles = machine.tlb_miss_cycles
-        lines_per_page = machine.page_size // machine.line_size
-        # Per thread: its cache maps, its TLB (an LRU of pages: the
-        # paper models the TLB as another cache level, the simulator
-        # gives each core one), its directory bit and the inverse, and
-        # its coherence-miss costs by dirty owner.
-        per_thread = [
-            (cache.states, cache.stamps, cache.sets, OrderedDict(),
-             1 << t, ~(1 << t), load_rm[t], store_rm[t])
-            for t, cache in enumerate(caches)
-        ]
-        # The directory: per line, bitmasks of the threads caching it
-        # and of those that may hold it dirty.  ``holders`` keeps a key
-        # for every line ever filled, so it also answers "is the line in
-        # L3?" (a clean fill) versus a first touch (DRAM).
-        holders: dict[int, int] = {}
-        writers: dict[int, int] = {}
-        # The line each thread touched last through the full path, and
-        # whether it holds it in M: a re-touch needs no state change.
-        mru_line: list[int | None] = [None] * num_threads
-        mru_mod: list[bool] = [False] * num_threads
-        # The page each thread touched last: already MRU in its TLB.
-        last_page: list[int | None] = [None] * num_threads
-        cycles = [0.0] * num_threads
-        # One stamp clock for every cache: stamps still grow within each.
-        clock = 0
-        n_prefetched = n_shared_fills = n_cold = n_load_remote_modified = 0
-        n_upgrades = n_store_miss_clean = n_store_remote_modified = 0
-        n_invalidations = n_downgrades = n_evictions = n_tlb_misses = 0
-        total_steps = thread_steps = 0
-
-        writes = tuple(bool(w) for w in gen.write_mask)
-        n_refs = len(writes)
-        # Stride-prefetcher state per (thread, reference), carried
-        # across blocks by the pre-pass.
-        use_pf = self.prefetcher
-        pf_last = [np.full(n_refs, -1, dtype=np.int64) for _ in range(num_threads)]
-        pf_delta = [np.zeros(n_refs, dtype=np.int64) for _ in range(num_threads)]
-
-        steps_per_run = max(gen.iteration_space.steps_per_chunk_run, 1)
-        progress = get_registry().gauge(
-            "sim_progress_chunk_runs",
-            "chunk runs completed by the in-flight simulation",
-        ).labels(kernel=gen.nest.name, threads=num_threads)
-        for block in gen.blocks(max_steps):
-            with span("sim.block", start_step=block.start_step) as block_span:
-                if use_pf:
-                    for t, mat in enumerate(block.lines):
-                        _tag_prefetched(mat, pf_last[t], pf_delta[t])
-                rows = [mat.tolist() for mat in block.lines]
-                lengths = [len(r) for r in rows]
-                n_steps = max(lengths, default=0)
-                total_steps += n_steps
-                thread_steps += sum(lengths)
-                for s in range(n_steps):
-                    for t in range(num_threads):
-                        if s >= lengths[t]:
-                            continue
-                        (cs, cst, csets, tlb, bit, nbit,
-                         load_rm_t, store_rm_t) = per_thread[t]
-                        mru_l = mru_line[t]
-                        mru_m = mru_mod[t]
-                        page_t = last_page[t]
-                        cost = per_step_cycles
-                        for line, w in zip(rows[t][s], writes):
-                            if line >= _TAG_MIN:
-                                line -= _PREFETCHED
-                                predicted = True
-                            else:
-                                predicted = False
-                            # MRU fast path: re-touch with sufficient state.
-                            if line == mru_l and (mru_m or not w):
-                                cost += store_hit if w else load_hit
-                                continue
-                            page = line // lines_per_page
-                            if page != page_t:
-                                if page in tlb:
-                                    tlb.move_to_end(page)
-                                else:
-                                    n_tlb_misses += 1
-                                    cost += tlb_miss_cycles
-                                    tlb[page] = None
-                                    if len(tlb) > tlb_entries:
-                                        tlb.popitem(last=False)
-                                page_t = page
-                            st = cs.get(line)
-                            if st is not None:
-                                if not w:
-                                    cst[line] = clock
-                                    clock += 1
-                                    mru_l = line
-                                    mru_m = st == M
-                                    cost += load_hit
-                                    continue
-                                if st != S:
-                                    if st == E:
-                                        writers[line] = writers.get(line, 0) | bit
-                                        cs[line] = M
-                                    cst[line] = clock
-                                    clock += 1
-                                    mru_l = line
-                                    mru_m = True
-                                    cost += store_hit
-                                    continue
-                            mru_l = line
-                            if w:
-                                if st is None:
-                                    fw = writers.get(line, 0) & nbit
-                                    if fw:
-                                        cost += store_rm_t[fw.bit_length() - 1]
-                                        n_store_remote_modified += 1
-                                    else:
-                                        cost += store_miss_clean
-                                        n_store_miss_clean += 1
-                                    mask = fw | (holders.get(line, 0) & nbit)
-                                else:  # S: upgrade
-                                    cost += store_upgrade
-                                    n_upgrades += 1
-                                    mask = holders.get(line, 0) & nbit
-                                # Invalidate every remote copy.
-                                while mask:
-                                    low = mask & -mask
-                                    o = low.bit_length() - 1
-                                    so = states[o]
-                                    if so.pop(line, None) is not None:
-                                        n_invalidations += 1
-                                        del caches[o].stamps[line]
-                                        caches[o].sets[line & set_mask].discard(line)
-                                    if mru_line[o] == line:
-                                        mru_line[o] = None
-                                    mask ^= low
-                                holders[line] = bit
-                                writers[line] = bit
-                                mru_m = True
-                                new_state = M
-                            else:
-                                h = holders.get(line)
-                                if h is None:  # first fill anywhere: DRAM
-                                    h = fw = mask = 0
-                                    new_state = E
-                                    if predicted:
-                                        cost += load_prefetched
-                                        n_prefetched += 1
-                                    else:
-                                        cost += load_cold
-                                        n_cold += 1
-                                else:
-                                    fw = writers.get(line, 0) & nbit
-                                    if fw:
-                                        cost += load_rm_t[fw.bit_length() - 1]
-                                        n_load_remote_modified += 1
-                                        writers[line] = 0
-                                        mask = fw
-                                        new_state = S
-                                    else:
-                                        mask = h & nbit
-                                        new_state = S if mask else E
-                                        if mask & (mask - 1):
-                                            # Two or more other holders
-                                            # are all in S already: E
-                                            # and M are exclusive.
-                                            mask = 0
-                                        if predicted:
-                                            cost += load_prefetched
-                                            n_prefetched += 1
-                                        else:
-                                            cost += load_shared_fill
-                                            n_shared_fills += 1
-                                # Remote M/E copies drop to S (an exclusive
-                                # clean holder loses E); only a dirty
-                                # owner's downgrade counts.
-                                while mask:
-                                    low = mask & -mask
-                                    o = low.bit_length() - 1
-                                    so = states[o]
-                                    if so.get(line, S) != S:
-                                        so[line] = S
-                                        if fw:
-                                            n_downgrades += 1
-                                    if mru_line[o] == line:
-                                        mru_mod[o] = False
-                                    mask ^= low
-                                holders[line] = h | bit
-                                mru_m = False
-                            cs[line] = new_state
-                            cst[line] = clock
-                            clock += 1
-                            if st is not None:  # upgrade: no fill, no eviction
-                                continue
-                            members = csets[line & set_mask]
-                            members.add(line)
-                            if len(members) > ways:
-                                # The LRU member; never ``line``, whose
-                                # stamp is the newest.
-                                victim = min(members, key=cst.__getitem__)
-                                members.remove(victim)
-                                del cs[victim]
-                                del cst[victim]
-                                holders[victim] = holders.get(victim, 0) & nbit
-                                writers[victim] = writers.get(victim, 0) & nbit
-                                n_evictions += 1
-                        mru_line[t] = mru_l
-                        mru_mod[t] = mru_m
-                        last_page[t] = page_t
-                        cycles[t] += cost
-                # block ends; state persists across blocks
-                block_span.set(steps=n_steps)
-            progress.set(total_steps // steps_per_run)
-            logger.debug(
-                "sim %s: %d chunk runs done (%d steps)",
-                gen.nest.name, total_steps // steps_per_run, total_steps,
-            )
-
-        n_stores = sum(writes)
-        loads = thread_steps * (n_refs - n_stores)
-        stores = thread_steps * n_stores
+        n_refs = len(walk.writes)
+        n_stores = sum(walk.writes)
+        loads = walk.thread_steps * (n_refs - n_stores)
+        stores = walk.thread_steps * n_stores
+        events = dict(zip(EVENTS, walk.counts))
         counters = SimCounters(
             loads=loads,
             stores=stores,
-            load_hits=loads - n_prefetched - n_shared_fills - n_cold
-            - n_load_remote_modified,
-            store_hits=stores - n_upgrades - n_store_miss_clean
-            - n_store_remote_modified,
-            load_prefetched=n_prefetched,
-            load_shared_fills=n_shared_fills,
-            load_cold=n_cold,
-            load_remote_modified=n_load_remote_modified,
-            store_upgrades=n_upgrades,
-            store_miss_clean=n_store_miss_clean,
-            store_miss_remote_modified=n_store_remote_modified,
-            invalidations=n_invalidations,
-            downgrades=n_downgrades,
-            evictions=n_evictions,
-            tlb_misses=n_tlb_misses,
+            load_hits=loads - events["load_prefetched"] - events["load_shared_fills"]
+            - events["load_cold"] - events["load_remote_modified"],
+            store_hits=stores - events["store_upgrades"] - events["store_miss_clean"]
+            - events["store_miss_remote_modified"],
+            **events,
         )
-        return counters, cycles, total_steps
-
-
-#: Added to a line id the stride prefetcher predicts.  Line ids of int64
-#: byte addresses lie in [-2**57, 2**57), so a tagged id (>= _TAG_MIN)
-#: never collides with an untagged one and still fits in int64.
-_PREFETCHED = 1 << 59
-_TAG_MIN = 1 << 58
-
-
-def _tag_prefetched(mat: np.ndarray, last: np.ndarray, delta: np.ndarray) -> None:
-    """Tag, in place, the accesses of one thread's block that the
-    stride prefetcher predicts.
-
-    ``mat`` is the thread's ``[steps, refs]`` line ids; ``last`` and
-    ``delta`` hold, per reference, the previous line and the last
-    non-zero line stride, and are carried from block to block.  An
-    access is predicted when its stride is non-zero and equals the last
-    non-zero stride of the same reference.  Zero strides (sub-line
-    progress) do not disturb a learned stride — real stride prefetchers
-    track byte strides below line granularity.  The prediction depends
-    on the thread's own stream only, so it is computed ahead of the
-    lockstep loop.
-    """
-    n, refs = mat.shape
-    if not n:
-        return
-    d = np.diff(mat, axis=0, prepend=last[None, :])
-    moved = d != 0
-    cols = np.arange(refs)
-    # Per step and reference: the last step at or before it that moved.
-    seen = np.maximum.accumulate(
-        np.where(moved, np.arange(n)[:, None], -1), axis=0
-    )
-    before = np.empty_like(seen)
-    before[0] = -1
-    before[1:] = seen[:-1]
-    prev = np.where(before >= 0, d[np.maximum(before, 0), cols], delta)
-    predicted = moved & (d == prev)
-    last[:] = mat[-1]
-    delta[:] = np.where(seen[-1] >= 0, d[np.maximum(seen[-1], 0), cols], delta)
-    mat[predicted] += _PREFETCHED
+        return counters, walk.cycles, walk.total_steps, extrapolated

@@ -199,7 +199,7 @@ class TestPrefetchPrepass:
         blocks of any size."""
         import numpy as np
 
-        from repro.sim.executor import _PREFETCHED, _TAG_MIN, _tag_prefetched
+        from repro.sim.walk import _PREFETCHED, _TAG_MIN, _tag_prefetched
 
         rng = np.random.default_rng(7)
         steps, refs = 400, 3
@@ -248,8 +248,10 @@ class TestBlockSpan:
         tracer.reset()
         tracer.enable()
         try:
+            # Chunk 5 leaves a ragged last chunk run, so the run has no
+            # steady-state exit and walks the patched blocks().
             with pytest.raises(RuntimeError, match="block failed"):
-                sim.run(make_copy_nest(n=64), 1, chunk=1)
+                sim.run(make_copy_nest(n=64), 1, chunk=5)
             names = [e.name for e in tracer.events()]
         finally:
             tracer.disable()
