@@ -65,7 +65,10 @@ def plan(
     if walk.num_threads > 63:  # holder bitmasks go through int64
         return None
     profile = compute_shift_profile(gen, walk.num_threads)
-    if profile is None:
+    # The first check follows two walked periods and the period after it
+    # is walked on the cost tape, so fewer than five periods per
+    # execution would skip at most one, for more than it costs.
+    if profile is None or profile.runs_per_exec < 5 * profile.period_runs:
         return None
     arrays = np.array(
         [profile.array_names.index(ref.array.name) for ref in gen.refs],
@@ -261,6 +264,10 @@ class SteadyWalk:
                 line = int(self._back(np.array([line]))[0])
             if line != mru[t] or walk.mru_mod[t] != mru_mod[t]:
                 return 0, nxt
+        # The trace, tags included, repeats shifted by one period in the
+        # next window: tested first, as the prefetcher's warm-up fails it.
+        if not np.array_equal(nxt, window + self.shift):
+            return 0, nxt
         # A line's shift is its array's: every access of both windows
         # must lie in the array its reference names.
         for rows in (window, nxt):
@@ -291,13 +298,13 @@ class SteadyWalk:
                 lo, size = hi, 4 * size
                 continue
             break
-        # The trace, tags included: period j is the window shifted by
-        # j + 1 periods.
+        # The rest of the trace: period j is the window shifted by j + 1
+        # periods.
         per_chunk = max(1, self.block_steps // w)
-        for j0 in range(0, k, per_chunk):
+        for j0 in range(1, k, per_chunk):
             j1 = min(k, j0 + per_chunk)
             n = j1 - j0
-            rows = nxt if j0 == 0 and n == 1 else self.trace.get(start + j0 * w, start + j1 * w)
+            rows = self.trace.get(start + j0 * w, start + j1 * w)
             shifts = np.arange(j0 + 1, j1 + 1)[:, None, None, None] * self.shift
             same = rows.reshape(n, *window.shape) == window + shifts
             same = same.reshape(n, -1).all(axis=1)
@@ -326,54 +333,75 @@ class SteadyWalk:
         # in the walked window; the last touch wins.
         own = untag(nxt)
         ids = _distinct(own)
-        step = self.profile.renamer_arrays(1)(ids) - ids
+        step_of = self.profile.shift_of_arrays
+        step = step_of(ids)
         moving, step = ids[step != 0], step[step != 0]
         states = walk.line_states(moving.tolist())
         targets = (moving + step * np.arange(1, n + 1)[:, None]).ravel()
         _, first_rev = np.unique(targets[::-1], return_index=True)
         last = targets.size - 1 - first_rev
-        walk.set_lines(targets[last], [states[i] for i in (last % moving.size).tolist()])
+        walk.set_lines(
+            targets[last].tolist(), [states[i] for i in (last % moving.size).tolist()]
+        )
         ahead = self.profile.renamer_arrays(n)
         for t in range(T):
             if walk.mru_line[t] is not None:
                 walk.mru_line[t] = int(ahead(np.array([walk.mru_line[t]]))[0])
-        # The skipped trace gives each thread's TLB misses and last page;
-        # the window's per-access costs give the cycles, added in the
-        # walk's own float order: per step, the step's cost, then per
-        # access a TLB miss and the access; then the step onto the sum.
-        costs = np.asarray(tape.costs).reshape(nxt.shape)
+        # Cycles, in the walk's own float order: per step, the step's
+        # cost, then per access a TLB miss and the access cost; then the
+        # step onto the thread's sum.  Without TLB misses every period
+        # repeats the window's step costs.
+        costs = np.asarray(tape.costs).reshape(nxt.shape).tolist()
+        base_cost = []
+        for row in costs:
+            step_costs = []
+            for charges in row:
+                cost = walk.per_step_cycles
+                for charge in charges:
+                    cost += charge
+                step_costs.append(cost)
+            base_cost.append(step_costs)
+        steps = np.tile(np.asarray(base_cost, dtype=np.float64), (n, 1))
+        # A TLB miss is a thread's first touch of a page: per thread and
+        # page, the earliest access of the span to any of its lines.
+        # Keys tell (thread, line) and (thread, page) pairs apart; an
+        # access's position counts its thread's accesses before it.
+        lpp, refs = walk.lines_per_page, own.shape[2]
+        keys, first = np.unique(
+            (own * T + np.arange(T)[:, None]).ravel(), return_index=True
+        )
+        lines, thread = keys // T, keys % T
+        local = first // (T * refs) * refs + first % refs
+        period = np.arange(n)[:, None]
+        pages = (lines + (period + 1) * step_of(lines)) // lpp
+        at = (local + period * w * refs).ravel()
+        order = np.argsort(at, kind="stable")
+        keys, first = np.unique(
+            (pages * T + thread).ravel()[order], return_index=True
+        )
+        at = at[order][first]
+        known = np.sort(np.concatenate([
+            np.fromiter(tlb, dtype=np.int64, count=len(tlb)) * T + t
+            for t, tlb in enumerate(walk.tlbs)
+        ]))
+        found = np.minimum(np.searchsorted(known, keys), max(known.size - 1, 0))
+        fresh = known[found] != keys if known.size else np.ones(keys.size, dtype=bool)
+        keys, at = keys[fresh], at[fresh]
+        order = np.argsort(at, kind="stable")
+        misses: dict[tuple[int, int], set[int]] = {}
+        for key, pos in zip(keys[order].tolist(), at[order].tolist()):
+            walk.tlbs[key % T][key // T] = None
+            misses.setdefault((pos // refs, key % T), set()).add(pos % refs)
+        walk.counts[TLB_MISSES] += keys.size
+        for (row, t), cols in misses.items():
+            cost = walk.per_step_cycles
+            for col, charge in enumerate(costs[row % w][t]):
+                if col in cols:
+                    cost += walk.tlb_miss_cycles
+                cost += charge
+            steps[row, t] = cost
+        last = own[-1, :, -1]
+        walk.last_page = ((last + n * step_of(last)) // lpp).tolist()
         cycles = np.asarray(walk.cycles, dtype=np.float64)
-        thread = np.arange(T)[:, None]
-        per_chunk = max(1, self.block_steps // w)
-        for j0 in range(1, n + 1, per_chunk):
-            j1 = min(n + 1, j0 + per_chunk)
-            shifts = np.arange(j0, j1)[:, None, None, None] * self.shift
-            pages = ((own + shifts) // walk.lines_per_page).reshape(-1, *own.shape[1:])
-            # A TLB miss is a thread's first touch of a page: keys tell
-            # (thread, page) pairs apart, and trace order within a
-            # thread is flat order.
-            keys = (pages * T + thread).ravel()
-            known = np.sort(np.concatenate([
-                np.fromiter(tlb, dtype=np.int64, count=len(tlb)) * T + t
-                for t, tlb in enumerate(walk.tlbs)
-            ]))
-            at = np.minimum(np.searchsorted(known, keys), max(known.size - 1, 0))
-            fresh = np.flatnonzero(known[at] != keys) if known.size else np.arange(keys.size)
-            miss = np.zeros(keys.size, dtype=bool)
-            if fresh.size:
-                _, first = np.unique(keys[fresh], return_index=True)
-                missed = np.sort(fresh[first])
-                miss[missed] = True
-                for key in keys[missed].tolist():
-                    walk.tlbs[key % T][key // T] = None
-                walk.counts[TLB_MISSES] += missed.size
-            miss = miss.reshape(pages.shape)
-            charged = np.tile(costs, (j1 - j0, 1, 1))
-            steps = np.full(pages.shape[:2], walk.per_step_cycles)
-            for col in range(pages.shape[2]):
-                steps += miss[:, :, col] * walk.tlb_miss_cycles
-                steps += charged[:, :, col]
-            cycles = np.add.accumulate(np.vstack([cycles, steps]), axis=0)[-1]
-        walk.cycles = cycles.tolist()
-        walk.last_page = pages[-1, :, -1].tolist()
+        walk.cycles = np.add.accumulate(np.vstack([cycles, steps]), axis=0)[-1].tolist()
         self.runs_extrapolated += n * P

@@ -412,41 +412,46 @@ class Walk:
                 out.append((h, writers.get(line, 0), held))
         return out
 
-    def set_lines(self, lines: np.ndarray, states: list[tuple]) -> None:
+    def set_lines(self, lines: list[int], states: list[tuple]) -> None:
         """Give each line a :meth:`line_states` entry of another line.
 
         Threads that hold a line but not in its new state drop it, the
         others hold it in that state, and new holders give it a fresh
         stamp.  Only exact where nothing can evict: stamps then never
-        decide anything.  Holder bitmasks are handled as int64, so at
-        most 63 threads.
+        decide anything.
         """
-        ids = lines.tolist()
-        holders = self.holders
-        old = np.fromiter((holders.get(x, 0) for x in ids), np.int64, len(ids))
-        new = np.fromiter((st[0] for st in states), np.int64, len(ids))
-        held = [st[2] for st in states]
-        holders.update(zip(ids, new.tolist()))
-        self.writers.update(zip(ids, [st[1] for st in states]))
-        # A holder that stays may change state only where the old or the
-        # new holders are one thread: two or more are all in S.
-        may_change = ((old & (old - 1)) == 0) | ((new & (new - 1)) == 0)
-        set_mask = self.set_mask
-        for t, cache in enumerate(self.caches):
-            had = (old >> t) & 1 == 1
-            has = (new >> t) & 1 == 1
-            for i in np.flatnonzero(had & ~has).tolist():
-                line = ids[i]
+        holders, writers = self.holders, self.writers
+        caches, set_mask = self.caches, self.set_mask
+        clock = self.clock
+        for line, (h, w, held) in zip(lines, states):
+            old = holders.get(line, 0)
+            holders[line] = h
+            writers[line] = w
+            gone = old & ~h
+            while gone:
+                low = gone & -gone
+                cache = caches[low.bit_length() - 1]
                 del cache.states[line]
                 del cache.stamps[line]
                 cache.sets[line & set_mask].discard(line)
-            change = np.flatnonzero(has & (~had | may_change)).tolist()
-            cache.states.update((ids[i], held[i]) for i in change)
-            fresh = lines[has & ~had].tolist()
-            cache.stamps.update(zip(fresh, range(self.clock, self.clock + len(fresh))))
-            self.clock += len(fresh)
-            for line in fresh:
+                gone ^= low
+            # Holders that stay may change state only where the old or
+            # the new holders are one thread: two or more are all in S.
+            stay = old & h if not (old & (old - 1) and h & (h - 1)) else 0
+            while stay:
+                low = stay & -stay
+                caches[low.bit_length() - 1].states[line] = held
+                stay ^= low
+            came = h & ~old
+            while came:
+                low = came & -came
+                cache = caches[low.bit_length() - 1]
+                cache.states[line] = held
+                cache.stamps[line] = clock
+                clock += 1
                 cache.sets[line & set_mask].add(line)
+                came ^= low
+        self.clock = clock
 
 
 #: What the walk charges for a TLB miss while a :class:`CostTape` records.
