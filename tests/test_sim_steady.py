@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.experiments import FULL_SCALE
+from repro.costmodels.processor import ProcessorModel
 from repro.kernels.dft import build_dft_nest
 from repro.kernels.heat import build_heat_nest
 from repro.kernels.linreg import build_linreg_nest
@@ -112,6 +113,21 @@ class TestExactness:
         result, attrs = _traced_run(sim, nest, threads, 1)
         assert attrs["runs_extrapolated"] > 0
         assert _observe(result) == _observe(_walked(sim, nest, threads, 1))
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_cycles_add_in_the_walks_order(self, kernel):
+        """The paper kernels' per-step costs are short binary fractions,
+        so any order of adding them gives the same float.  A cost with
+        a full mantissa makes the order of the additions show."""
+        sim = MulticoreSimulator(paper_machine())
+        nest = KERNELS[kernel](40, 4)
+        with mock.patch.object(
+            ProcessorModel, "cycles_per_iter", return_value=4.75 + 1 / 3
+        ):
+            result, attrs = _traced_run(sim, nest, 4, 1)
+            walked = _walked(sim, nest, 4, 1)
+        assert attrs["runs_extrapolated"] > 0
+        assert _observe(result) == _observe(walked)
 
     def test_cut_inside_a_skippable_span(self):
         sim = MulticoreSimulator(paper_machine())
