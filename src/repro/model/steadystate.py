@@ -60,6 +60,7 @@ __all__ = [
     "ShiftProfile",
     "SteadyStateRunner",
     "compute_shift_profile",
+    "shift_profile",
 ]
 
 #: scalar FSStats fields propagated through window deltas/extrapolation
@@ -215,7 +216,21 @@ def compute_shift_profile(
         return None
     if ptrip % (T * c) != 0:
         return None
-    runs_per_exec = ptrip // (T * c)
+    profile = shift_profile(gen, T, ptrip // (T * c))
+    if profile is None or profile.runs_per_exec < 3 * profile.period_runs:
+        return None
+    return profile
+
+
+def shift_profile(
+    gen: OwnershipListGenerator, num_threads: int, runs_per_exec: int
+) -> ShiftProfile | None:
+    """Shift profile of the first ``runs_per_exec`` chunk runs of every
+    execution, or ``None`` when some array has two parallel-loop
+    strides.  Those runs must all be full; :func:`compute_shift_profile`
+    checks that, and the other eligibility rules, for the model."""
+    T = num_threads
+    c = gen.iteration_space.chunk
     ploop = gen.enum.parallel_loop
     line_size = gen.line_size
     # Per-array byte delta per chunk run: the parallel variable's value
@@ -233,8 +248,6 @@ def compute_shift_profile(
         if a:
             pa = line_size // math.gcd(line_size, abs(a))
             period = period * pa // math.gcd(period, pa)
-    if runs_per_exec < 3 * period:
-        return None
     placed = sorted(
         gen.space.arrays(), key=lambda arr: gen.space.base(arr.name)
     )
@@ -251,7 +264,7 @@ def compute_shift_profile(
     return ShiftProfile(
         period_runs=period,
         runs_per_exec=runs_per_exec,
-        execs=space.outer_total,
+        execs=gen.iteration_space.outer_total,
         array_names=tuple(names),
         array_start_lines=tuple(starts),
         array_end_lines=tuple(ends),

@@ -53,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.model.ownership import OwnershipListGenerator
-from repro.model.steadystate import ShiftProfile, compute_shift_profile
+from repro.model.steadystate import ShiftProfile, compute_shift_profile, shift_profile
 from repro.sim.walk import TLB_MISSES, CostTape, Walk, _tag_prefetched, untag
 
 
@@ -64,7 +64,13 @@ def plan(
     when the run does not qualify (see the module docs)."""
     if walk.num_threads > 63:  # holder bitmasks go through int64
         return None
-    profile = compute_shift_profile(gen, walk.num_threads)
+    T = walk.num_threads
+    space = gen.iteration_space
+    profile = compute_shift_profile(gen, T)
+    if profile is None and space.outer_total == 1 and space.chunk > 0:
+        # One execution whose last chunk run is ragged: the whole runs
+        # before it still repeat.
+        profile = shift_profile(gen, T, space.parallel_trip // (T * space.chunk))
     # The first check follows two walked periods and the period after it
     # is walked on the cost tape, so fewer than five periods per
     # execution would skip at most one, for more than it costs.
@@ -165,13 +171,16 @@ class SteadyWalk:
         limit: int,
         block_steps: int,
     ) -> None:
+        self.gen = gen
         self.walk = walk
         self.profile = profile
         self.arrays = arrays
         self.limit = limit
         self.block_steps = block_steps
-        self.trace = _Trace(gen, walk, limit, block_steps)
         self.spr = gen.iteration_space.steps_per_chunk_run
+        #: where the whole chunk runs end: a ragged last run follows
+        self.full_end = min(limit, profile.execs * profile.runs_per_exec * self.spr)
+        self.trace = _Trace(gen, walk, self.full_end, block_steps)
         #: window length in chunk runs: one shift period
         self.period = profile.period_runs
         #: per reference, the line shift of one period
@@ -189,7 +198,12 @@ class SteadyWalk:
             if base >= self.limit:
                 break
             r = self._execution(base, min(E, (self.limit - base) // spr))
-            self._walk(base + r * spr, min(base + E * spr, self.limit))
+            self._walk(base + r * spr, min(base + E * spr, self.full_end))
+        # A ragged last run, where threads run out of work at different
+        # steps, is walked thread by thread.
+        for s0 in range(self.full_end, self.limit, self.block_steps):
+            s1 = min(s0 + self.block_steps, self.limit)
+            self.walk.advance(self.gen.block(s0, s1).lines, s0)
 
     def _advance(self, rows: np.ndarray, start: int, tape: CostTape | None = None) -> None:
         self.walk.advance(rows.transpose(1, 0, 2), start, tagged=True, tape=tape)
