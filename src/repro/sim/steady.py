@@ -10,8 +10,12 @@ walking runs whose outcome is already known.
 Eligibility, decided before walking (:func:`plan`):
 
 - :func:`~repro.model.steadystate.compute_shift_profile` gives a
-  profile: full chunk runs, one line shift per array and period, and at
-  least three periods per execution;
+  profile: full chunk runs and one line shift per array and period.  A
+  loop of one execution whose last chunk run is ragged also qualifies:
+  its whole runs repeat, and the ragged run is walked;
+- an execution holds at least five periods: the first check follows two
+  walked periods and the next one is walked on the cost tape, so fewer
+  would skip at most one period, for more than it costs;
 - no cache eviction can happen: per thread, the distinct lines that map
   to any one set number at most ``ways``.  Set index and LRU stamps
   then never decide anything, so the shift needs no set isomorphism;
@@ -21,28 +25,32 @@ Eligibility, decided before walking (:func:`plan`):
   and skipped misses are counted from the trace.
 
 The pre-scan streams the trace block by block and keeps only per-thread
-sorted unique lines and per-set counts.  It also checks that every
-access lies in the array its reference names, so a line's shift is
-that of its array.
+sorted distinct lines and per-set counts.
 
 Within each execution of the parallel loop, :class:`SteadyWalk` walks
 one-period windows and, at a boundary ``b`` after the window
-``[b-P, b)``, checks that the next runs repeat that window:
+``[b-P, b)``, checks that the next periods repeat that window:
 
-- the per-thread MRU line (renamed by one period) and its M flag, and
-  the prefetcher's last lines (renamed) and strides, equal their values
-  at ``b-P``;
-- the skip span's trace, generated and tagged by the prefetcher, is the
-  window's tagged trace shifted by whole periods;
-- every line the skip span touches has, at ``b``, the
+- every thread's MRU line (renamed by one period) and its M flag equal
+  their values at ``b-P``;
+- the trace of the next period, prefetch tags included, is the window's
+  trace shifted by one period, and every access of both lies in the
+  array its reference names, so a line's shift is its array's;
+- every line the span touches has, at ``b``, the
   :meth:`~repro.sim.walk.Walk.line_states` entry its one-period-earlier
-  counterpart had at ``b-P``.  Only lines the span touches count: heat
-  rows are not a whole number of lines long, so lines straddling two
-  rows sit at fixed positions, and a span reaching them stops short.
+  counterpart had at ``b-P``, checked in order of the period that first
+  touches it.  Only lines the span touches count: heat rows are not a
+  whole number of lines long, so lines straddling two rows sit at fixed
+  positions, and a span reaching them stops short;
+- the trace of every later period is the window's, shifted.
+
+The prefetcher needs no state comparison: its tags depend only on each
+thread's own stream, :class:`_Trace` tags the whole trace in order,
+skipped periods included, and the check compares the tags themselves.
 
 The check yields the longest verified span of ``k`` periods.  Each of
 them then repeats its predecessor, by induction over the periods: a
-line's next state depends only on its own state, the thread's MRU line
+line's next state depends only on its own state, the threads' MRU lines
 and the access, and nothing evicts.  The first period is walked with a
 :class:`~repro.sim.walk.CostTape` to record its per-access costs; the
 other ``k-1`` are accounted in closed form (:meth:`SteadyWalk._skip`).
@@ -62,7 +70,7 @@ def plan(
 ) -> "SteadyWalk | None":
     """The steady-state walk of the first ``limit`` steps, or ``None``
     when the run does not qualify (see the module docs)."""
-    if walk.num_threads > 63:  # holder bitmasks go through int64
+    if walk.num_threads > 63:  # (thread, line) keys go through int64
         return None
     T = walk.num_threads
     space = gen.iteration_space
