@@ -187,7 +187,7 @@ class MulticoreSimulator:
         compute = self._processor.cycles_per_iter(nest)
         loop_oh = self._parallel.loop_overhead_per_iter(nest)
         counters, cycles, total_steps, extrapolated = self._simulate(
-            gen, num_threads, compute + loop_oh, max_steps
+            gen, compute + loop_oh, max_steps
         )
         spr = max(gen.iteration_space.steps_per_chunk_run, 1)
         walked = -(-total_steps // spr) - extrapolated
@@ -251,7 +251,6 @@ class MulticoreSimulator:
     def _simulate(
         self,
         gen: OwnershipListGenerator,
-        num_threads: int,
         per_step_cycles: float,
         max_steps: int | None,
     ) -> tuple[SimCounters, list[float], int, int]:

@@ -70,8 +70,6 @@ def plan(
 ) -> "SteadyWalk | None":
     """The steady-state walk of the first ``limit`` steps, or ``None``
     when the run does not qualify (see the module docs)."""
-    if walk.num_threads > 63:  # (thread, line) keys go through int64
-        return None
     T = walk.num_threads
     space = gen.iteration_space
     profile = compute_shift_profile(gen, T)
