@@ -20,7 +20,7 @@ from repro.costmodels.processor import ProcessorModel
 from repro.kernels.dft import build_dft_nest
 from repro.kernels.heat import build_heat_nest
 from repro.kernels.linreg import build_linreg_nest
-from repro.machine import CacheLevel, paper_machine
+from repro.machine import CacheLevel, CoherenceCosts, paper_machine
 from repro.model.ownership import OwnershipListGenerator
 from repro.obs import get_registry, get_tracer
 from repro.sim import MulticoreSimulator, steady
@@ -64,6 +64,18 @@ def _tiny_l2(machine):
     )
 
 
+MACHINES = {
+    "paper": paper_machine,
+    "tiny-l2": lambda: _tiny_l2(paper_machine()),
+    # Two cores per socket: coherence misses cost by thread pair.
+    "numa": lambda: dataclasses.replace(
+        paper_machine(),
+        cores_per_socket=2,
+        coherence=CoherenceCosts(cross_socket_factor=1.7),
+    ),
+}
+
+
 KERNELS = {
     # rows, columns: the parallel trip is columns - 2
     "heat": lambda runs, width: build_heat_nest(4, runs * width + 2),
@@ -86,19 +98,21 @@ def configs(draw):
     nest = KERNELS[kernel](runs, threads * chunk)
     if ragged:
         nest = KERNELS[kernel](runs, threads * chunk + 1)
-    machine = draw(st.sampled_from(["paper", "tiny-l2"]))
-    opts = draw(st.sampled_from([{}, {"prefetcher": False}, {"block_steps": 16}]))
+    machine = draw(st.sampled_from(["paper", "tiny-l2", "numa"]))
+    opts = draw(st.sampled_from([
+        {}, {"prefetcher": False}, {"block_steps": 16},
+        {"fully_associative": True}, {"thread_placement": "scatter"},
+    ]))
     max_steps = draw(st.one_of(st.none(), st.integers(0, 400)))
     return nest, threads, chunk, machine, opts, max_steps
 
 
 class TestExactness:
     @given(configs())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_run_matches_the_walk(self, config):
         nest, threads, chunk, machine, opts, max_steps = config
-        m = paper_machine() if machine == "paper" else _tiny_l2(paper_machine())
-        sim = MulticoreSimulator(m, **opts)
+        sim = MulticoreSimulator(MACHINES[machine](), **opts)
         fast = sim.run(nest, threads, chunk=chunk, max_steps=max_steps)
         slow = _walked(sim, nest, threads, chunk, max_steps)
         assert _observe(fast) == _observe(slow)
