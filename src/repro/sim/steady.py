@@ -27,6 +27,15 @@ Eligibility, decided before walking (:func:`plan`):
 The pre-scan streams the trace block by block and keeps only per-thread
 sorted distinct lines and per-set counts.
 
+Every array the exit builds stays below 4 MiB, the size from which NumPy
+asks the kernel for transparent huge pages.  Where the kernel grants
+them on request only, whether it does depends on the host's free memory
+and on when khugepaged runs, so the resident set would vary from one
+run to the next.  The plain walk's per-thread blocks stay below that
+size; the exit's stacked trace holds ``threads`` times as much per step,
+so it fetches shorter blocks, a one-period window must fit, and the
+closed-form accounting goes a bounded number of periods at a time.
+
 Within each execution of the parallel loop, :class:`SteadyWalk` walks
 one-period windows and, at a boundary ``b`` after the window
 ``[b-P, b)``, checks that the next periods repeat that window:
@@ -64,6 +73,14 @@ from repro.model.ownership import OwnershipListGenerator
 from repro.model.steadystate import ShiftProfile, compute_shift_profile, shift_profile
 from repro.sim.walk import TLB_MISSES, CostTape, Walk, _tag_prefetched, untag
 
+#: NumPy advises huge pages for arrays of this many bytes or more; a
+#: one-period window of the stacked trace must stay below it.
+HUGE_PAGE_ARRAY_BYTES = 1 << 22
+#: Most bytes of a trace block, and of the arrays of one group of
+#: periods accounted in closed form: half the above, which leaves room
+#: for the arrays a row longer that are built from them.
+BLOCK_BYTES = HUGE_PAGE_ARRAY_BYTES // 2
+
 
 def plan(
     gen: OwnershipListGenerator, walk: Walk, limit: int, block_steps: int
@@ -81,6 +98,9 @@ def plan(
     # is walked on the cost tape, so fewer than five periods per
     # execution would skip at most one, for more than it costs.
     if profile is None or profile.runs_per_exec < 5 * profile.period_runs:
+        return None
+    window_steps = profile.period_runs * space.steps_per_chunk_run
+    if window_steps * 8 * T * len(gen.refs) >= HUGE_PAGE_ARRAY_BYTES:
         return None
     arrays = np.array(
         [profile.array_names.index(ref.array.name) for ref in gen.refs],
@@ -128,9 +148,9 @@ class _Trace:
     the prefetcher, generated ahead in blocks in step order.
 
     Requests start at non-decreasing steps and never past what is
-    generated; rows before a request's start are dropped.  Tags depend
-    on each thread's own stream only, so tagging the whole trace in
-    order, walked or skipped, is what the walk would do.
+    generated; blocks that end before a request's start are dropped.
+    Tags depend on each thread's own stream only, so tagging the whole
+    trace in order, walked or skipped, is what the walk would do.
     """
 
     def __init__(
@@ -140,28 +160,37 @@ class _Trace:
         self.walk = walk
         self.limit = limit
         self.block_steps = block_steps
+        #: consecutive blocks, the first starting at ``start``
+        self.blocks: list[np.ndarray] = []
         self.start = 0
-        self.rows = np.empty((0, walk.num_threads, len(walk.writes)), dtype=np.int64)
+        self.end = 0
 
     def get(self, start: int, stop: int) -> np.ndarray:
-        """Rows of steps ``[start, stop)``."""
-        walk = self.walk
-        parts = [self.rows[start - self.start:]]
-        end = self.start + len(self.rows)
-        while end < stop:
-            s1 = min(end + self.block_steps, self.limit)
-            block = np.stack(self.gen.block(end, s1).lines, axis=1)
+        """Rows of steps ``[start, stop)``: a view where one block holds
+        them, else a copy of exactly those rows."""
+        walk, blocks = self.walk, self.blocks
+        while blocks and self.start + len(blocks[0]) <= start:
+            self.start += len(blocks.pop(0))
+        while self.end < stop:
+            s1 = min(self.end + self.block_steps, self.limit)
+            block = np.stack(self.gen.block(self.end, s1).lines, axis=1)
             if walk.prefetcher:
                 _tag_prefetched(
                     block.reshape(len(block), -1),
                     walk.pf_last.reshape(-1),
                     walk.pf_delta.reshape(-1),
                 )
-            parts.append(block)
-            end = s1
-        self.rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        self.start = start
-        return self.rows[: stop - start]
+            blocks.append(block)
+            self.end = s1
+        parts, at = [], self.start
+        for block in blocks:
+            lo, hi = max(start - at, 0), min(stop - at, len(block))
+            if lo < hi:
+                parts.append(block[lo:hi])
+            at += len(block)
+            if at >= stop:
+                break
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class SteadyWalk:
@@ -182,11 +211,15 @@ class SteadyWalk:
         self.profile = profile
         self.arrays = arrays
         self.limit = limit
-        self.block_steps = block_steps
+        #: steps per block: a stacked block holds ``threads`` per-thread
+        #: blocks, so it is held to BLOCK_BYTES (module docs)
+        self.block_steps = max(
+            1, min(block_steps, BLOCK_BYTES // (8 * walk.num_threads * len(walk.writes)))
+        )
         self.spr = gen.iteration_space.steps_per_chunk_run
         #: where the whole chunk runs end: a ragged last run follows
         self.full_end = min(limit, profile.execs * profile.runs_per_exec * self.spr)
-        self.trace = _Trace(gen, walk, self.full_end, block_steps)
+        self.trace = _Trace(gen, walk, self.full_end, self.block_steps)
         #: window length in chunk runs: one shift period
         self.period = profile.period_runs
         #: per reference, the line shift of one period
@@ -349,20 +382,12 @@ class SteadyWalk:
         walk.counts = [c + n * d for c, d in zip(walk.counts, change)]
         walk.total_steps += n * w
         walk.thread_steps += n * w * T
-        # Each line the span touches takes the state of its counterpart
-        # in the walked window; the last touch wins.
         own = untag(nxt)
         ids = _distinct(own)
         step_of = self.profile.shift_of_arrays
         step = step_of(ids)
         moving, step = ids[step != 0], step[step != 0]
         states = walk.line_states(moving.tolist())
-        targets = (moving + step * np.arange(1, n + 1)[:, None]).ravel()
-        _, first_rev = np.unique(targets[::-1], return_index=True)
-        last = targets.size - 1 - first_rev
-        walk.set_lines(
-            targets[last].tolist(), [states[i] for i in (last % moving.size).tolist()]
-        )
         ahead = self.profile.renamer_arrays(n)
         for t in range(T):
             if walk.mru_line[t] is not None:
@@ -381,7 +406,7 @@ class SteadyWalk:
                     cost += charge
                 step_costs.append(cost)
             base_cost.append(step_costs)
-        steps = np.tile(np.asarray(base_cost, dtype=np.float64), (n, 1))
+        base_cost = np.asarray(base_cost, dtype=np.float64)
         # A TLB miss is a thread's first touch of a page: per thread and
         # page, the earliest access of the span to any of its lines.
         # Keys tell (thread, line) and (thread, page) pairs apart; an
@@ -392,36 +417,56 @@ class SteadyWalk:
         )
         lines, thread = keys // T, keys % T
         local = first // (T * refs) * refs + first % refs
-        period = np.arange(n)[:, None]
-        pages = (lines + (period + 1) * step_of(lines)) // lpp
-        at = (local + period * w * refs).ravel()
-        order = np.argsort(at, kind="stable")
-        keys, first = np.unique(
-            (pages * T + thread).ravel()[order], return_index=True
-        )
-        at = at[order][first]
-        known = np.sort(np.concatenate([
-            np.fromiter(tlb, dtype=np.int64, count=len(tlb)) * T + t
-            for t, tlb in enumerate(walk.tlbs)
-        ]))
-        found = np.minimum(np.searchsorted(known, keys), max(known.size - 1, 0))
-        fresh = known[found] != keys if known.size else np.ones(keys.size, dtype=bool)
-        keys, at = keys[fresh], at[fresh]
-        order = np.argsort(at, kind="stable")
-        misses: dict[tuple[int, int], set[int]] = {}
-        for key, pos in zip(keys[order].tolist(), at[order].tolist()):
-            walk.tlbs[key % T][key // T] = None
-            misses.setdefault((pos // refs, key % T), set()).add(pos % refs)
-        walk.counts[TLB_MISSES] += keys.size
-        for (row, t), cols in misses.items():
-            cost = walk.per_step_cycles
-            for col, charge in enumerate(costs[row % w][t]):
-                if col in cols:
-                    cost += walk.tlb_miss_cycles
-                cost += charge
-            steps[row, t] = cost
+        line_step = step_of(lines)
+        cycles = np.asarray(walk.cycles, dtype=np.float64)
+        # A bounded group of periods at a time (module docs).  Each
+        # group's lines overwrite the earlier groups' and its TLB misses
+        # come after theirs, so the groups add up to one pass.
+        per = max(1, BLOCK_BYTES // (8 * max(w * T, moving.size, keys.size)))
+        for j0 in range(0, n, per):
+            j1 = min(n, j0 + per)
+            # Each line the span touches takes the state of its
+            # counterpart in the walked window; the last touch wins.
+            targets = (moving + step * np.arange(j0 + 1, j1 + 1)[:, None]).ravel()
+            _, first_rev = np.unique(targets[::-1], return_index=True)
+            last = targets.size - 1 - first_rev
+            walk.set_lines(
+                targets[last].tolist(), [states[i] for i in (last % moving.size).tolist()]
+            )
+            period = np.arange(j0, j1)[:, None]
+            pages = (lines + (period + 1) * line_step) // lpp
+            at = (local + period * w * refs).ravel()
+            order = np.argsort(at, kind="stable")
+            found_keys, first = np.unique(
+                (pages * T + thread).ravel()[order], return_index=True
+            )
+            at = at[order][first]
+            known = np.sort(np.concatenate([
+                np.fromiter(tlb, dtype=np.int64, count=len(tlb)) * T + t
+                for t, tlb in enumerate(walk.tlbs)
+            ]))
+            found = np.minimum(np.searchsorted(known, found_keys), max(known.size - 1, 0))
+            fresh = (
+                known[found] != found_keys if known.size
+                else np.ones(found_keys.size, dtype=bool)
+            )
+            found_keys, at = found_keys[fresh], at[fresh]
+            order = np.argsort(at, kind="stable")
+            misses: dict[tuple[int, int], set[int]] = {}
+            for key, pos in zip(found_keys[order].tolist(), at[order].tolist()):
+                walk.tlbs[key % T][key // T] = None
+                misses.setdefault((pos // refs, key % T), set()).add(pos % refs)
+            walk.counts[TLB_MISSES] += found_keys.size
+            steps = np.tile(base_cost, (j1 - j0, 1))
+            for (row, t), cols in misses.items():
+                cost = walk.per_step_cycles
+                for col, charge in enumerate(costs[row % w][t]):
+                    if col in cols:
+                        cost += walk.tlb_miss_cycles
+                    cost += charge
+                steps[row - j0 * w, t] = cost
+            cycles = np.add.accumulate(np.vstack([cycles, steps]), axis=0)[-1]
         last = own[-1, :, -1]
         walk.last_page = ((last + n * step_of(last)) // lpp).tolist()
-        cycles = np.asarray(walk.cycles, dtype=np.float64)
-        walk.cycles = np.add.accumulate(np.vstack([cycles, steps]), axis=0)[-1].tolist()
+        walk.cycles = cycles.tolist()
         self.runs_extrapolated += n * P

@@ -162,6 +162,39 @@ class TestExactness:
         assert attrs["runs_walked"] == 2 * 40
 
 
+class TestBoundedArrays:
+    """Every array the exit builds stays below the size from which NumPy
+    asks for huge pages (module docs of :mod:`repro.sim.steady`)."""
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_one_step_blocks_and_one_period_chunks(self, kernel):
+        """The bounded passes over the trace and the skipped periods,
+        at their shortest, must add up to one pass exactly."""
+        sim = MulticoreSimulator(paper_machine())
+        nest = KERNELS[kernel](40, 4)
+        with mock.patch.object(steady, "BLOCK_BYTES", 1):
+            result, attrs = _traced_run(sim, nest, 4, 1)
+        assert attrs["runs_extrapolated"] > 0
+        assert _observe(result) == _observe(_walked(sim, nest, 4, 1))
+
+    def test_full_size_trace_stays_below_huge_pages(self):
+        """linreg/T8/c4 stacks 4.5 MB per 4096-step block."""
+        held = []
+        get = steady._Trace.get
+
+        def spy(trace, start, stop):
+            rows = get(trace, start, stop)
+            held.append(max([rows.nbytes] + [b.nbytes for b in trace.blocks]))
+            return rows
+
+        with mock.patch.object(steady._Trace, "get", spy):
+            _, attrs = _traced_run(
+                MulticoreSimulator(paper_machine()), FULL_SCALE.linreg(8).nest, 8, 4
+            )
+        assert attrs["runs_extrapolated"] > 0
+        assert max(held) < steady.HUGE_PAGE_ARRAY_BYTES
+
+
 class TestObservability:
     def test_span_and_counter_account_every_run(self):
         sim = MulticoreSimulator(paper_machine())
@@ -211,6 +244,7 @@ class TestPaperCells:
             ("heat", 8, 1, "evicts"),
             ("heat", 40, 1, "ragged last chunk run"),
             ("linreg", 48, 10, "no shift profile"),
+            ("linreg", 8, 12, "a one-period window of 4.75 MB"),
         ],
     )
     def test_does_not_fire(self, kernel, threads, chunk, why):
